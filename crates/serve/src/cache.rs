@@ -131,53 +131,16 @@ impl<T: Real> PreparedCache<T> {
     }
 
     /// Looks up (or prepares, on miss) the shard set for `nn`'s fitted
-    /// index over `multi`. On a miss the index is sliced, uploaded, and
-    /// its norms warmed; `warm_seconds` in the return value is the
-    /// simulated time that warming cost (0.0 on a hit), which the
-    /// request engine charges to the batch that triggered the miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors from the norm-warming launches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nn` has not been fitted.
-    pub fn get_or_prepare(
-        &mut self,
-        nn: &NearestNeighbors<T>,
-        multi: &MultiDevice,
-    ) -> Result<(Arc<PreparedShards<T>>, f64), KernelError> {
-        let (shards, outcome) = self.lookup(nn, multi)?;
-        Ok((shards, outcome.warm_seconds))
-    }
-
-    /// [`Self::get_or_prepare`] with a full [`CacheOutcome`] — the
-    /// request engine uses this to emit cache hit/miss span events and
-    /// per-lookup eviction counts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel errors from the norm-warming launches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nn` has not been fitted.
-    pub fn lookup(
-        &mut self,
-        nn: &NearestNeighbors<T>,
-        multi: &MultiDevice,
-    ) -> Result<(Arc<PreparedShards<T>>, CacheOutcome), KernelError> {
-        self.lookup_generation(nn, multi, 0)
-    }
-
-    /// [`Self::lookup`] for a specific compaction generation of a
-    /// mutable dataset (DESIGN §16). The generation is folded into the
-    /// cache key via [`fingerprint_with_generation`], so a re-compacted
-    /// base whose bytes coincide with an earlier generation (most
-    /// plainly: an empty one) still gets its own entry, and the
-    /// compactor's atomic swap is just "start looking up gen+1".
-    /// Immutable callers are generation 0.
+    /// index over `multi` at compaction `generation` (DESIGN §16;
+    /// immutable datasets are generation 0). On a miss the index is
+    /// sliced, uploaded, and its norms warmed; the [`CacheOutcome`]
+    /// carries the simulated warm time (0.0 on a hit), which the request
+    /// engine charges to the batch that triggered the miss, and the
+    /// hit/eviction facts its span events report. The generation is
+    /// folded into the cache key via [`fingerprint_with_generation`], so
+    /// a re-compacted base whose bytes coincide with an earlier
+    /// generation (most plainly: an empty one) still gets its own entry,
+    /// and the compactor's atomic swap is just "start looking up gen+1".
     ///
     /// # Errors
     ///
@@ -270,11 +233,11 @@ mod tests {
         let mut cache = PreparedCache::new(usize::MAX);
         let nn_a = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 1.0));
         let nn_b = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 2.0));
-        let (_, warm_a) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert!(warm_a > 0.0, "miss warms norms");
-        let (_, warm_again) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert_eq!(warm_again, 0.0, "hit is free");
-        cache.get_or_prepare(&nn_b, &multi).expect("ok");
+        let (_, miss) = cache.lookup_generation(&nn_a, &multi, 0).expect("ok");
+        assert!(miss.warm_seconds > 0.0, "miss warms norms");
+        let (_, hit) = cache.lookup_generation(&nn_a, &multi, 0).expect("ok");
+        assert_eq!(hit.warm_seconds, 0.0, "hit is free");
+        cache.lookup_generation(&nn_b, &multi, 0).expect("ok");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 2, 0));
         assert_eq!(cache.len(), 2);
@@ -288,13 +251,13 @@ mod tests {
         // Budget sized so exactly one prepared entry fits.
         let probe = nn_a.prepare_shards(&multi);
         let mut cache = PreparedCache::new(probe.device_bytes() + 1);
-        cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        cache.get_or_prepare(&nn_b, &multi).expect("ok");
+        cache.lookup_generation(&nn_a, &multi, 0).expect("ok");
+        cache.lookup_generation(&nn_b, &multi, 0).expect("ok");
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 1);
         // A is gone: touching it again is a miss (and evicts B).
-        let (_, warm) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert!(warm > 0.0);
+        let (_, again) = cache.lookup_generation(&nn_a, &multi, 0).expect("ok");
+        assert!(again.warm_seconds > 0.0);
         assert_eq!(cache.stats().misses, 3);
     }
 
@@ -314,11 +277,11 @@ mod tests {
         let mut cache = PreparedCache::new(0);
         let nn_a = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 1.0));
         let nn_b = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 2.0));
-        let (shards_a, warm_a) = cache.get_or_prepare(&nn_a, &multi).expect("ok");
-        assert!(warm_a > 0.0);
+        let (shards_a, first) = cache.lookup_generation(&nn_a, &multi, 0).expect("ok");
+        assert!(first.warm_seconds > 0.0);
         assert_eq!(cache.len(), 1, "oversized entry is still admitted");
         assert!(cache.resident_bytes() > cache.budget_bytes());
-        let (_, outcome) = cache.lookup(&nn_b, &multi).expect("ok");
+        let (_, outcome) = cache.lookup_generation(&nn_b, &multi, 0).expect("ok");
         assert!(!outcome.hit);
         assert_eq!(outcome.evictions, 1, "the resident entry is evicted");
         assert_eq!(cache.len(), 1);
@@ -338,13 +301,13 @@ mod tests {
         let bytes = nn.prepare_shards(&multi).device_bytes();
         // Budget strictly smaller than the one dataset we serve.
         let mut cache = PreparedCache::new(bytes / 2);
-        let (_, first) = cache.lookup(&nn, &multi).expect("ok");
+        let (_, first) = cache.lookup_generation(&nn, &multi, 0).expect("ok");
         assert!(!first.hit);
         assert_eq!(cache.len(), 1);
         // Repeated lookups of the same oversized entry are hits — it is
         // never self-evicted, so an over-budget tenant does not thrash.
         for _ in 0..3 {
-            let (_, again) = cache.lookup(&nn, &multi).expect("ok");
+            let (_, again) = cache.lookup_generation(&nn, &multi, 0).expect("ok");
             assert!(again.hit, "oversized resident entry must hit");
             assert_eq!(again.evictions, 0);
         }
@@ -371,7 +334,7 @@ mod tests {
         // below) forces a multi-entry burst in a single lookup.
         let mut cache = PreparedCache::new(5 * one + 1);
         for nn in &fits[..5] {
-            cache.lookup(nn, &multi).expect("ok");
+            cache.lookup_generation(nn, &multi, 0).expect("ok");
         }
         assert_eq!(cache.len(), 5);
         assert_eq!(cache.stats().evictions, 0);
@@ -379,7 +342,7 @@ mod tests {
         // space reclaimed: every eviction in the burst must cost
         // exactly one probe.
         let big = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(24, 9.0));
-        cache.lookup(&big, &multi).expect("ok");
+        cache.lookup_generation(&big, &multi, 0).expect("ok");
         let s = cache.stats();
         assert!(s.evictions >= 2, "burst expected: {s:?}");
         assert_eq!(
@@ -407,9 +370,6 @@ mod tests {
         let (_, g0_again) = cache.lookup_generation(&nn, &multi, 0).expect("ok");
         let (_, g1_again) = cache.lookup_generation(&nn, &multi, 1).expect("ok");
         assert!(g0_again.hit && g1_again.hit);
-        // Plain lookup is generation 0.
-        let (_, plain) = cache.lookup(&nn, &multi).expect("ok");
-        assert!(plain.hit);
     }
 
     #[test]
@@ -424,9 +384,9 @@ mod tests {
         let nn_b = NearestNeighbors::new(Device::volta(), Distance::Euclidean).fit(dataset(6, 2.0));
         let probe = nn_a.prepare_shards(&multi).device_bytes();
         let mut cache = PreparedCache::new(probe + 1);
-        let (stale, _) = cache.lookup(&nn_a, &multi).expect("ok");
+        let (stale, _) = cache.lookup_generation(&nn_a, &multi, 0).expect("ok");
         // Evict A by inserting B into the one-entry budget.
-        cache.lookup(&nn_b, &multi).expect("ok");
+        cache.lookup_generation(&nn_b, &multi, 0).expect("ok");
         assert_eq!(cache.stats().evictions, 1);
         // Re-warming the stale handle after its eviction: idempotent
         // (norms are already warmed, so zero additional sim time).

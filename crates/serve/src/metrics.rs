@@ -41,6 +41,22 @@ pub const HIST_MIN: f64 = 1e-7;
 /// every simulated serving latency.
 pub const HIST_GROWTH: f64 = 1.189207115002721;
 
+/// Bucket edges: `HIST_EDGES[i]` is the upper edge of finite bucket
+/// `i`, and `HIST_EDGES[HIST_BUCKETS + 1]` is the first edge past the
+/// finite range (what an overflow percentile reports). Built by
+/// repeated multiplication at compile time — each step one correctly
+/// rounded `*` — so every call site reads the same bits in every build
+/// profile (`powi` may be constant-folded differently per call site).
+const HIST_EDGES: [f64; HIST_BUCKETS + 2] = {
+    let mut edges = [HIST_MIN; HIST_BUCKETS + 2];
+    let mut i = 1;
+    while i < edges.len() {
+        edges[i] = edges[i - 1] * HIST_GROWTH;
+        i += 1;
+    }
+    edges
+};
+
 /// The 1-based nearest-rank index for percentile `p` over `n` samples:
 /// `ceil(p/100 · n)` clamped to `[1, n]`. This is the one percentile
 /// definition shared by the stderr summary, the registry histograms,
@@ -119,7 +135,7 @@ impl LogHistogram {
     /// bucket edge, [`HIST_MIN`]).
     pub fn upper_edge(i: usize) -> f64 {
         debug_assert!(i <= HIST_BUCKETS);
-        HIST_MIN * HIST_GROWTH.powi(i as i32)
+        HIST_EDGES[i]
     }
 
     /// Index of the finite bucket containing `v`, or `None` for
@@ -194,7 +210,7 @@ impl LogHistogram {
                 return Self::upper_edge(i);
             }
         }
-        HIST_MIN * HIST_GROWTH.powi(HIST_BUCKETS as i32 + 1)
+        HIST_EDGES[HIST_BUCKETS + 1]
     }
 }
 

@@ -11,7 +11,10 @@ use kernels::{PairwiseOptions, ResiliencePolicy, Strategy};
 use neighbors::{MultiDevice, NearestNeighbors};
 use proptest::prelude::*;
 use semiring::Distance;
-use serve::{MutableDataset, Request, ServeConfig, ServeEngine, TimedRecord, Wal, WalRecord};
+use serve::{
+    AdmissionConfig, MutableDataset, Request, ServeConfig, ServeEngine, SpanEvent, TimedRecord,
+    Wal, WalRecord,
+};
 use sparse::{CsrMatrix, Idx};
 
 fn dataset(rows: usize, salt: u64) -> CsrMatrix<f64> {
@@ -488,4 +491,92 @@ proptest! {
         let bbits: Vec<u64> = b.values().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(abits, bbits);
     }
+}
+
+/// An immutable dataset is the degenerate mutable one (generation 0,
+/// no fresh arm, no tombstones): `replay` and a write-free
+/// `replay_ingest` over the same matrix serve the same bytes, spans and
+/// metrics — on the default hybrid strategy, with admission degrading
+/// part of the batches.
+#[test]
+fn immutable_replay_is_a_mutable_replay_with_no_writes() {
+    let base = dataset(12, 0);
+    let queries = dataset(16, 3);
+    let multi = MultiDevice::replicate(&Device::volta(), 2);
+    let proto = NearestNeighbors::new(Device::volta(), Distance::Euclidean);
+    let nn = proto.clone().fit(base.clone());
+    // A burst that backs up past the degrade watermark, then a trickle
+    // that drains it.
+    let mut reqs = requests(&queries, 0.0, 2e-6);
+    for r in &mut reqs[8..] {
+        r.arrival_s = 1e-3 + r.id as f64 * 100e-6;
+    }
+    let cfg = ServeConfig {
+        k: 4,
+        max_batch: 4,
+        max_wait_s: 40e-6,
+        admission: Some(AdmissionConfig::default().with_watermarks(3, usize::MAX)),
+        ..ServeConfig::default()
+    };
+
+    let mut immutable = ServeEngine::new(multi.clone(), cfg);
+    let fixed = immutable
+        .replay(std::slice::from_ref(&nn), &reqs)
+        .expect("replay");
+    let mut mutable = ServeEngine::new(multi, cfg);
+    let mut ds = MutableDataset::new(base);
+    let ingest = mutable
+        .replay_ingest(&proto, &mut ds, &[], &reqs, 0)
+        .expect("replay_ingest");
+    let served = &ingest.serve;
+    assert!(
+        fixed.degraded_batches > 0 && (fixed.degraded_batches as usize) < fixed.batches,
+        "the stream must degrade some batches but not all ({} of {})",
+        fixed.degraded_batches,
+        fixed.batches
+    );
+    assert_eq!(fixed.responses.len(), reqs.len());
+
+    let bits = |r: &serve::Response<f64>| {
+        let dist: Vec<u64> = r.distances.iter().map(|d| d.to_bits()).collect();
+        let times = [r.arrival_s, r.dispatch_s, r.completion_s].map(f64::to_bits);
+        (r.id, r.dataset, r.indices.clone(), dist, times)
+    };
+    let want: Vec<_> = fixed.responses.iter().map(bits).collect();
+    let got: Vec<_> = served.responses.iter().map(bits).collect();
+    assert_eq!(got, want, "responses");
+    assert_eq!(
+        (
+            served.batches,
+            served.degraded_batches,
+            served.degraded_requests
+        ),
+        (
+            fixed.batches,
+            fixed.degraded_batches,
+            fixed.degraded_requests
+        )
+    );
+    assert_eq!(served.busy_seconds.to_bits(), fixed.busy_seconds.to_bits());
+
+    // Every mutable reply carries one `SegmentMerge` at generation 0;
+    // apart from it the spans are the immutable ones.
+    let mut spans = served.spans.clone();
+    for span in &mut spans {
+        let before = span.events.len();
+        let segment_merge = SpanEvent::SegmentMerge { generation: 0 };
+        span.events.retain(|e| e.event != segment_merge);
+        assert_eq!(span.events.len() + 1, before, "one SegmentMerge per reply");
+    }
+    assert_eq!(spans, fixed.spans, "spans");
+
+    let strip = |engine: &ServeEngine<f64>| {
+        let mut snap = engine.metrics().snapshot("replay");
+        let serving = |name: &str| !name.starts_with("wal.") && !name.starts_with("compact.");
+        snap.counters.retain(|(n, _)| serving(n));
+        snap.gauges.retain(|(n, _)| serving(n));
+        snap.histograms.retain(|h| serving(&h.name));
+        snap.to_json()
+    };
+    assert_eq!(strip(&mutable), strip(&immutable), "metrics.v1");
 }
